@@ -383,8 +383,6 @@ def _serve(args: argparse.Namespace) -> int:
             service,
             workers=args.workers,
             snapshot_root=snapshot_root,
-            query_config_kwargs={"mode": args.mode, "window": args.window},
-            default_timeout_ms=args.default_timeout_ms,
         )
     # Bind before recovery so restarts never present connection-refused;
     # the ready gate keeps /api shedding structured 503s until the

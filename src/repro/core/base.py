@@ -194,7 +194,7 @@ def _grown(
     raises the floor when one append must fit more than double.
     """
     capacity = max(minimum, 2 * used, needed)
-    grown = np.empty((capacity,) + array.shape[1:], dtype=np.float64)
+    grown = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
     grown[:used] = array[:used]
     return grown
 
@@ -369,7 +369,10 @@ class LengthBucket:
     same way: ``member_matrix`` holds every member of every group as one
     2-D array.  This is what lets the query processor refine a whole group
     — lower-bound cascade and batched DTW — without resolving members one
-    at a time.
+    at a time.  The member *handles* ride alongside as one ``(M, 2)``
+    int64 ``(series_index, start)`` array, row for row with the member
+    matrix, so persistence and fingerprinting read them vectorised and
+    groups can defer building their ``SubsequenceRef`` tuples.
 
     Both the centroid stack and the member stack are *growable*: incremental
     ingestion (``OnexBase.add_series`` and the :mod:`repro.stream`
@@ -391,6 +394,7 @@ class LengthBucket:
         member_matrix: np.ndarray | None = None,
         stacks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         channels: int = 1,
+        handles: np.ndarray | None = None,
     ) -> None:
         self.length = length
         #: Channels per time step; multivariate buckets store every row
@@ -417,13 +421,19 @@ class LengthBucket:
                 self._centroid_store[g] = group.centroid
                 self._ed_store[g] = group.ed_radius
                 self._cheb_store[g] = group.cheb_radius
-        offsets = np.cumsum([0] + [g.cardinality for g in self.groups])
-        # Per-group physical rows of the member store: a slice while the
-        # group's rows are contiguous, else a list of row indices.
-        self._rows: list[slice | list[int]] = [
-            slice(int(offsets[g]), int(offsets[g + 1])) for g in range(count)
-        ]
-        self._row_count = int(offsets[-1])
+        self._index_rows()
+        if handles is None:
+            # Groups given as SubsequenceRef tuples (hand-built buckets);
+            # the build and load paths hand the stacked array over.
+            handles = np.array(
+                [(m.series_index, m.start) for g in self.groups for m in g.members],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+        if handles.shape != (self._row_count, 2):
+            raise ValidationError(
+                f"member handle shape {handles.shape} != {(self._row_count, 2)}"
+            )
+        self._handle_store = np.ascontiguousarray(handles, dtype=np.int64)
         # Representative summaries (envelopes/endpoints/minmax) are built
         # lazily on first use and kept in sync by append_group; load()
         # attaches the persisted arrays instead.
@@ -451,12 +461,13 @@ class LengthBucket:
         centroids: np.ndarray,
         ed_radii: np.ndarray,
         cheb_radii: np.ndarray,
+        handles: np.ndarray,
         channels: int = 1,
     ) -> "LengthBucket":
         """Adopt already-stacked stores *without copying them*.
 
-        The zero-copy sibling of ``__init__``: the centroid/radius/member
-        stores are the given arrays themselves (capacity == count), so
+        The zero-copy sibling of ``__init__``: the centroid/radius/member/
+        handle stores are the given arrays themselves (capacity == count), so
         mmap-backed arrays stay mmap-backed and N worker processes share
         one page-cache copy.  Appends remain safe — the very first one
         finds the store full and reallocates through ``_grown``, which
@@ -476,19 +487,40 @@ class LengthBucket:
         self._centroid_store = centroids
         self._ed_store = ed_radii
         self._cheb_store = cheb_radii
-        offsets = np.cumsum([0] + [g.cardinality for g in self.groups])
-        self._rows = [
-            slice(int(offsets[g]), int(offsets[g + 1])) for g in range(count)
-        ]
-        self._row_count = int(offsets[-1])
+        self._index_rows()
         self._rep_summary = None
         expected = (self._row_count, width)
         if member_matrix.shape != expected:
             raise ValidationError(
                 f"member matrix shape {member_matrix.shape} != {expected}"
             )
+        if handles.shape != (self._row_count, 2):
+            raise ValidationError(
+                f"member handle shape {handles.shape} != {(self._row_count, 2)}"
+            )
         self._member_store = member_matrix
+        self._handle_store = handles
         return self
+
+    def _index_rows(self) -> None:
+        """Lay the groups' members out contiguously, in group order.
+
+        Two views of the same layout: ``_rows`` — per group, its
+        physical rows of the member store (a slice while contiguous, else
+        a list of row indices), what queries slice — and ``_row_group``
+        — per physical row, its group index, from which the group-order
+        gather and the offsets are computed vectorised.
+        """
+        count = len(self.groups)
+        sizes = np.fromiter(
+            (g.cardinality for g in self.groups), np.int64, count
+        )
+        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        self._rows: list[slice | list[int]] = [
+            slice(bounds[g], bounds[g + 1]) for g in range(count)
+        ]
+        self._row_count = int(bounds[-1])
+        self._row_group = np.repeat(np.arange(count, dtype=np.int64), sizes)
 
     @property
     def group_count(self) -> int:
@@ -548,7 +580,12 @@ class LengthBucket:
     @property
     def member_offsets(self) -> np.ndarray:
         """Cumulative member counts delimiting groups in logical order."""
-        return np.cumsum([0] + [g.cardinality for g in self.groups], dtype=np.int64)
+        sizes = np.bincount(
+            self._row_group[: self._row_count], minlength=len(self.groups)
+        )
+        offsets = np.zeros(len(self.groups) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        return offsets
 
     @property
     def member_matrix(self) -> np.ndarray | None:
@@ -587,13 +624,12 @@ class LengthBucket:
         pre-v2 archive that carries no persisted matrix).
         """
         if self._member_store is None:
-            refs = [ref for group in self.groups for ref in group.members]
+            # No store means no appends yet: physical rows are in group
+            # order, exactly as the handle store lists them.
             width = self.length * self.channels
             matrix = np.empty((self._row_count, width), dtype=np.float64)
-            series = np.fromiter(
-                (r.series_index for r in refs), np.int64, len(refs)
-            )
-            starts = np.fromiter((r.start for r in refs), np.int64, len(refs))
+            series = self._handle_store[: self._row_count, 0]
+            starts = self._handle_store[: self._row_count, 1]
             for si in np.unique(series).tolist():
                 rows = np.nonzero(series == si)[0]
                 windows = window_view(dataset[si].values, self.length)
@@ -601,22 +637,44 @@ class LengthBucket:
             self._member_store = matrix
         return self._member_store[: self._row_count]
 
+    def _group_order(self) -> np.ndarray | None:
+        """Physical rows in group-contiguous order; None if already so.
+
+        ``None`` while the rows already run group by group (always the
+        case at build/load time); after interleaved appends, the gather
+        index that puts each group's rows together, groups in index order
+        and rows in member order — a stable sort by group, because
+        appends only ever add a group's newest member at the end.
+        """
+        groups = self._row_group[: self._row_count]
+        if bool(np.all(groups[1:] >= groups[:-1])):
+            return None
+        return np.argsort(groups, kind="stable")
+
     def stacked_member_matrix(self, dataset: TimeSeriesDataset) -> np.ndarray:
         """Member values in group-contiguous order (for persistence).
 
         Returns the store itself (no copy) while every group is still a
         contiguous ascending slice; after interleaved appends the rows are
-        gathered group by group.
+        gathered into group order.
         """
         self.ensure_member_matrix(dataset)
-        expected = 0
-        for rows in self._rows:
-            if not isinstance(rows, slice) or rows.start != expected:
-                return np.vstack(
-                    [self.member_rows(g) for g in range(len(self.groups))]
-                )
-            expected = rows.stop
-        return self._member_store[: self._row_count]
+        store = self._member_store[: self._row_count]
+        order = self._group_order()
+        return store if order is None else store[order]
+
+    @property
+    def member_handles(self) -> np.ndarray:
+        """``(M, 2)`` int64 ``(series_index, start)`` of every member.
+
+        Group-contiguous order, row for row with
+        :meth:`stacked_member_matrix` and delimited by
+        :attr:`member_offsets` — the vectorised form of iterating every
+        group's ``members``, used by persistence and fingerprinting.
+        """
+        store = self._handle_store[: self._row_count]
+        order = self._group_order()
+        return store if order is None else store[order]
 
     # ------------------------------------------------------------------
     # Incremental growth (amortised-doubling appends)
@@ -638,20 +696,19 @@ class LengthBucket:
         group's members tuple, so callers assigning many windows at once
         (``add_series``, a chunked stream append) stay linear.
         """
-        from dataclasses import replace
-
         group = self.groups[g_idx]
         deviations = np.abs(rows - group.centroid)
-        self.groups[g_idx] = replace(
-            group,
+        self.groups[g_idx] = SimilarityGroup(
+            length=group.length,
+            centroid=group.centroid,
             members=group.members + tuple(refs),
             ed_radius=max(group.ed_radius, float(deviations.mean(axis=1).max())),
             cheb_radius=max(group.cheb_radius, float(deviations.max())),
         )
         self._ed_store[g_idx] = self.groups[g_idx].ed_radius
         self._cheb_store[g_idx] = self.groups[g_idx].cheb_radius
-        for row in rows:
-            phys = self._append_row(row)
+        for ref, row in zip(refs, rows):
+            phys = self._append_row(row, ref, g_idx)
             existing = self._rows[g_idx]
             if isinstance(existing, slice):
                 if existing.stop == phys:  # still contiguous (newest group)
@@ -676,19 +733,58 @@ class LengthBucket:
             # Keep the prunable summaries live under streaming appends;
             # centroids never move, so existing rows stay valid.
             self._rep_summary.extend(group.centroid[None, :])
-        phys = self._append_row(values)
+        phys = self._append_row(values, group.members[0], g_idx)
         self._rows.append(slice(phys, phys + 1))
         return g_idx
 
-    def _append_row(self, values: np.ndarray) -> int:
-        """Append one row to the member store (doubling); returns its index."""
+    def _append_row(
+        self, values: np.ndarray, ref: SubsequenceRef, g_idx: int
+    ) -> int:
+        """Append one member of group *g_idx* (doubling); returns its row."""
         if self._member_store is None:
             raise NotBuiltError("member matrix not attached to this bucket")
-        if self._row_count == self._member_store.shape[0]:
-            self._member_store = _grown(self._member_store, self._row_count)
-        self._member_store[self._row_count] = values
+        n = self._row_count
+        if n == self._member_store.shape[0]:
+            self._member_store = _grown(self._member_store, n)
+        if n == self._handle_store.shape[0]:
+            self._handle_store = _grown(self._handle_store, n)
+        if n == self._row_group.shape[0]:
+            self._row_group = _grown(self._row_group, n)
+        self._member_store[n] = values
+        self._handle_store[n] = (ref.series_index, ref.start)
+        self._row_group[n] = g_idx
         self._row_count += 1
         return self._row_count - 1
+
+
+def _handle_groups(
+    length: int,
+    centroids: np.ndarray,
+    ed_radii: np.ndarray,
+    cheb_radii: np.ndarray,
+    handles: np.ndarray,
+    offsets: np.ndarray,
+) -> list[SimilarityGroup]:
+    """Groups over stacked arrays, members left as handle-array slices.
+
+    Shared by the build, ``.npz`` load and mmap attach paths: per-group
+    work only, no ``SubsequenceRef`` is created until a group's
+    ``members`` is first read.
+    """
+    bounds = np.asarray(offsets).tolist()
+    ed = np.asarray(ed_radii).tolist()
+    cheb = np.asarray(cheb_radii).tolist()
+    return [
+        SimilarityGroup(
+            length=length,
+            centroid=centroids[g],
+            members=None,
+            ed_radius=ed[g],
+            cheb_radius=cheb[g],
+            handles=handles[bounds[g] : bounds[g + 1]],
+        )
+        for g in range(len(bounds) - 1)
+    ]
 
 
 def _build_length_shard(
@@ -917,13 +1013,14 @@ class OnexBase:
     def _assemble_bucket(self, payload: dict) -> LengthBucket:
         """Reassemble one shard payload into a live :class:`LengthBucket`.
 
-        Runs on the parent: member rows are resolved to
-        :class:`SubsequenceRef` handles with one ``searchsorted`` over the
-        per-series window counts, the groups are rebuilt from the stacked
-        arrays, and the bucket's refinement matrix is gathered from the
-        shard's window matrix.  Bit-identical to what an in-process build
-        of the same length produces (the payload arrays round-trip
-        through pickle exactly).
+        Runs on the parent: member rows are resolved to the bucket's
+        ``(series_index, start)`` handle array with one ``searchsorted``
+        over the per-series window counts, the groups are rebuilt from the
+        stacked arrays (each holding a slice of that array, materialised
+        into ``SubsequenceRef``\\ s on first read), and the bucket's
+        refinement matrix is gathered from the shard's window matrix.
+        Bit-identical to what an in-process build of the same length
+        produces (the payload arrays round-trip through pickle exactly).
         """
         length = payload["length"]
         step = self._config.step
@@ -936,35 +1033,25 @@ class OnexBase:
             [len(s) for s in self._dataset], length, step
         )
         member_rows = payload["member_rows"]
-        series_idx, starts = rows_to_series_starts(member_rows, counts, step)
-        refs = list(
-            map(
-                SubsequenceRef,
-                series_idx.tolist(),
-                starts.tolist(),
-                [length] * member_rows.shape[0],
-            )
-        )
-        offsets = payload["offsets"].tolist()
+        handles = np.stack(
+            rows_to_series_starts(member_rows, counts, step), axis=1
+        ).astype(np.int64, copy=False)
         centroids = payload["centroids"]
-        ed_radii = payload["ed_radii"].tolist()
-        cheb_radii = payload["cheb_radii"].tolist()
-        groups = [
-            SimilarityGroup(
-                length=length,
-                centroid=centroids[g],
-                members=tuple(refs[offsets[g] : offsets[g + 1]]),
-                ed_radius=ed_radii[g],
-                cheb_radius=cheb_radii[g],
-            )
-            for g in range(len(offsets) - 1)
-        ]
+        groups = _handle_groups(
+            length,
+            centroids,
+            payload["ed_radii"],
+            payload["cheb_radii"],
+            handles,
+            payload["offsets"],
+        )
         return LengthBucket(
             length,
             groups,
             matrix[member_rows],
             stacks=(centroids, payload["ed_radii"], payload["cheb_radii"]),
             channels=self._dataset.channels,
+            handles=handles,
         )
 
     @classmethod
@@ -1346,13 +1433,8 @@ class OnexBase:
             payload[f"{prefix}_centroids"] = bucket.centroids
             payload[f"{prefix}_ed_radii"] = bucket.ed_radii
             payload[f"{prefix}_cheb_radii"] = bucket.cheb_radii
-            offsets = [0]
-            members = []
-            for g in bucket.groups:
-                members.extend((m.series_index, m.start) for m in g.members)
-                offsets.append(len(members))
-            payload[f"{prefix}_members"] = np.array(members, dtype=np.int64)
-            payload[f"{prefix}_offsets"] = np.array(offsets, dtype=np.int64)
+            payload[f"{prefix}_members"] = bucket.member_handles
+            payload[f"{prefix}_offsets"] = bucket.member_offsets
             payload[f"{prefix}_member_matrix"] = bucket.stacked_member_matrix(
                 self._dataset
             )
@@ -1467,30 +1549,27 @@ class OnexBase:
                 centroids = archive[f"{prefix}_centroids"]
                 ed_radii = archive[f"{prefix}_ed_radii"]
                 cheb_radii = archive[f"{prefix}_cheb_radii"]
-                members = archive[f"{prefix}_members"]
-                offsets = archive[f"{prefix}_offsets"]
-                groups = []
-                for g in range(len(offsets) - 1):
-                    chunk = members[offsets[g] : offsets[g + 1]]
-                    refs = tuple(
-                        SubsequenceRef(int(si), int(st), int(length))
-                        for si, st in chunk
-                    )
-                    groups.append(
-                        SimilarityGroup(
-                            length=int(length),
-                            centroid=centroids[g],
-                            members=refs,
-                            ed_radius=float(ed_radii[g]),
-                            cheb_radius=float(cheb_radii[g]),
-                        )
-                    )
+                handles = archive[f"{prefix}_members"].astype(
+                    np.int64, copy=False
+                ).reshape(-1, 2)
+                groups = _handle_groups(
+                    int(length),
+                    centroids,
+                    ed_radii,
+                    cheb_radii,
+                    handles,
+                    archive[f"{prefix}_offsets"],
+                )
                 matrix_key = f"{prefix}_member_matrix"
                 member_matrix = (
                     archive[matrix_key] if matrix_key in archive.files else None
                 )
                 bucket = LengthBucket(
-                    int(length), groups, member_matrix, channels=channels
+                    int(length),
+                    groups,
+                    member_matrix,
+                    channels=channels,
+                    handles=handles,
                 )
                 bucket.ensure_member_matrix(base._dataset)
                 env_key = f"{prefix}_rep_env_lo"
@@ -1558,15 +1637,7 @@ class OnexBase:
             digest.update(np.ascontiguousarray(bucket.ed_radii).tobytes())
             digest.update(np.ascontiguousarray(bucket.cheb_radii).tobytes())
             digest.update(bucket.member_offsets.tobytes())
-            members = np.array(
-                [
-                    (m.series_index, m.start)
-                    for g in bucket.groups
-                    for m in g.members
-                ],
-                dtype=np.int64,
-            )
-            digest.update(members.tobytes())
+            digest.update(np.ascontiguousarray(bucket.member_handles).tobytes())
         return digest.hexdigest()
 
     def __repr__(self) -> str:

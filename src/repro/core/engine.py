@@ -58,6 +58,11 @@ class OnexEngine:
         self._query_config = query_config or QueryConfig()
         self._loaded: dict[str, LoadedDataset] = {}
 
+    @property
+    def query_config(self) -> QueryConfig:
+        """The :class:`QueryConfig` every query of this engine runs under."""
+        return self._query_config
+
     # ------------------------------------------------------------------
     # Data loading (the demo's "Data Loading into ONEX" step)
     # ------------------------------------------------------------------

@@ -44,7 +44,7 @@ Each finalized group also records two radii the query processor needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -58,19 +58,80 @@ __all__ = ["RowGroup", "SimilarityGroup", "cluster_subsequence_rows", "cluster_s
 _EPS = 1e-9
 
 
-@dataclass
 class SimilarityGroup:
-    """A finalized ONEX similarity group of same-length subsequences."""
+    """A finalized ONEX similarity group of same-length subsequences.
 
-    length: int
-    centroid: np.ndarray
-    members: tuple[SubsequenceRef, ...]
-    ed_radius: float
-    cheb_radius: float
+    ``members`` is the tuple of the group's :class:`SubsequenceRef`
+    handles.  A group may instead be created from an ``(n, 2)`` int64
+    ``(series_index, start)`` array (``handles=``, typically a slice of
+    its bucket's member-handle array): the tuple is then built the first
+    time ``members`` is read, so attaching a base costs no per-member
+    Python work and the many groups a query never refines never
+    materialise handles at all.  Concurrent first reads may both build
+    the tuple; they build equal tuples and the last assignment wins.
+    """
+
+    __slots__ = ("length", "centroid", "ed_radius", "cheb_radius", "_members", "_handles")
+
+    def __init__(
+        self,
+        length: int,
+        centroid: np.ndarray,
+        members: tuple[SubsequenceRef, ...] | None,
+        ed_radius: float,
+        cheb_radius: float,
+        *,
+        handles: np.ndarray | None = None,
+    ) -> None:
+        if (members is None) == (handles is None):
+            raise ValidationError("pass exactly one of members= and handles=")
+        self.length = length
+        self.centroid = centroid
+        self.ed_radius = ed_radius
+        self.cheb_radius = cheb_radius
+        self._members = members
+        self._handles = handles
+
+    @property
+    def members(self) -> tuple[SubsequenceRef, ...]:
+        members = self._members
+        if members is None:
+            handles = self._handles
+            members = tuple(
+                map(
+                    SubsequenceRef,
+                    handles[:, 0].tolist(),
+                    handles[:, 1].tolist(),
+                    repeat(self.length, handles.shape[0]),
+                )
+            )
+            self._members = members
+        return members
 
     @property
     def cardinality(self) -> int:
-        return len(self.members)
+        members = self._members
+        return len(members) if members is not None else self._handles.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimilarityGroup):
+            return NotImplemented
+        return (
+            self.length == other.length
+            and self.ed_radius == other.ed_radius
+            and self.cheb_radius == other.cheb_radius
+            and np.array_equal(self.centroid, other.centroid)
+            and self.members == other.members
+        )
+
+    __hash__ = None  # compared by value, so not hashable
+
+    def __repr__(self) -> str:
+        return (
+            f"SimilarityGroup(length={self.length}, "
+            f"cardinality={self.cardinality}, ed_radius={self.ed_radius!r}, "
+            f"cheb_radius={self.cheb_radius!r})"
+        )
 
     def validate(self, dataset: TimeSeriesDataset, group_radius: float) -> None:
         """Assert the construction invariants against *dataset*.

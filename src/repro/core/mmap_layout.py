@@ -3,44 +3,57 @@
 The ``.npz`` archive (:meth:`OnexBase.save`) is compact but *copies* on
 load: every array is decompressed into fresh private pages per process.
 The worker pool needs the opposite trade — N processes serving the same
-base should share one page-cache copy of the big stacks.  This module
-persists a base as a **directory of raw ``.npy`` files plus one
-``meta.json``**, so ``np.load(..., mmap_mode="r")`` maps each array
-directly:
+base should share one page-cache copy of the big stacks — and it
+republishes the base after every write, so both ends of a publication
+must be cheap.  This module persists a base as **one raw data file plus
+one ``meta.json``** (snapshot format 2):
 
-- cold start is an ``mmap(2)`` per array — no decompression, no copy;
-- every worker's member/centroid/summary stacks are views over the same
-  physical pages (the kernel shares the page cache across processes);
+- the writer streams each array into ``arrays.bin`` at the next 64-byte
+  boundary, one array at a time, so the whole gathered base is never
+  held in memory at once;
+- a worker attaches the file with a single ``np.memmap``; every array
+  of the base is a slice of that map (no per-array open, no copy), and
+  the kernel's page cache shares the pages across processes;
 - the mapping is write-protected, so an accidental in-place mutation in
   a worker raises instead of corrupting sibling processes.
 
 Layout of one snapshot directory::
 
-    meta.json                   config, stats, dataset names/metadata,
-                                fingerprints, per-length radii
-    raw_<i>.npy                 raw series values, one file per series
-    norm_<i>.npy                normalised values (only when the base
-                                normalises; else raw_<i> is shared)
-    len<L>_centroids.npy        stacked group representatives
-    len<L>_ed_radii.npy         per-group ED_n radii
-    len<L>_cheb_radii.npy       per-group Chebyshev radii
-    len<L>_members.npy          (M, 2) int64 member handles
-    len<L>_offsets.npy          (G+1,) int64 group row offsets
-    len<L>_member_matrix.npy    stacked member values, group-contiguous
-    len<L>_rep_env_lo.npy       persisted representative summaries
-    len<L>_rep_env_hi.npy
-    len<L>_rep_endpoints.npy
-    len<L>_rep_minmax.npy
+    meta.json     config, stats, dataset names/metadata, fingerprint,
+                  per-length envelope radii, and the segment index
+                  ``{name: [offset, dtype, shape]}`` into arrays.bin
+    arrays.bin    the segments, each starting on a 64-byte boundary:
+                  raw_<i>                raw series values, per series
+                  norm_<i>               normalised values (only when the
+                                         base normalises; else raw_<i>
+                                         is shared)
+                  len<L>_centroids       stacked group representatives
+                  len<L>_ed_radii        per-group ED_n radii
+                  len<L>_cheb_radii      per-group Chebyshev radii
+                  len<L>_members         (M, 2) int64 member handles
+                  len<L>_offsets         (G+1,) int64 group row offsets
+                  len<L>_member_matrix   member values, group-contiguous
+                  len<L>_rep_env_lo      persisted representative
+                  len<L>_rep_env_hi      summaries
+                  len<L>_rep_endpoints
+                  len<L>_rep_minmax
+
+Attaching does per-group work only: each group holds a slice of its
+bucket's ``len<L>_members`` segment and builds its ``SubsequenceRef``
+tuple the first time a query reads ``members``
+(:class:`~repro.core.grouping.SimilarityGroup`).
 
 Snapshots are written to a ``<dir>.tmp`` sibling and ``os.replace``\\ d
 into place, so a crash mid-write never publishes a half-written
 directory; :func:`clean_stale_snapshots` sweeps leftover ``*.tmp``
-debris (and superseded epochs) at supervisor start.
+debris (and superseded epochs) at supervisor start.  A snapshot only
+lives for the supervisor run that wrote it — the next run publishes
+afresh — so no other snapshot format is readable: one is refused.
 
 Loading with ``mmap_mode="r"`` produces a **read-only** base: the
 mutation paths (:meth:`OnexBase.add_series`, streaming ingestion) raise
 :class:`~repro.exceptions.ReadOnlyBaseError`.  The attach path copies
-nothing — buckets and summaries adopt the mapped arrays via
+nothing — buckets and summaries adopt the mapped slices via
 ``LengthBucket.attached`` / ``RepresentativeSummary.attached``, and the
 dataset wraps them through ``TimeSeries._wrap``.
 """
@@ -51,6 +64,7 @@ import json
 import os
 import shutil
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -61,10 +75,10 @@ from repro.core.base import (
     LengthBuildStats,
     OnexBase,
     RepresentativeSummary,
+    _handle_groups,
 )
 from repro.core.config import BuildConfig
-from repro.core.grouping import SimilarityGroup
-from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
+from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.exceptions import PersistenceError
 from repro.obs.logs import get_logger, log_event
@@ -79,11 +93,33 @@ __all__ = [
 _LOG = get_logger("mmap")
 
 #: Version tag written into ``meta.json`` and checked on load.
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
+
+#: The one data file of a snapshot directory.
+DATA_FILE = "arrays.bin"
+
+#: Segment alignment in ``arrays.bin`` (a cache line; any dtype's).
+_ALIGN = 64
 
 
-def _write_array(directory: Path, name: str, array: np.ndarray) -> None:
-    np.save(directory / f"{name}.npy", np.ascontiguousarray(array))
+class _SegmentWriter:
+    """Streams arrays into one data file and records the segment index."""
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self._fh = fh
+        #: Bytes written so far.
+        self.size = 0
+        self.index: dict[str, list] = {}
+
+    def add(self, name: str, array: np.ndarray) -> None:
+        array = np.ascontiguousarray(array)
+        pad = -self.size % _ALIGN
+        if pad:
+            self._fh.write(bytes(pad))
+            self.size += pad
+        self.index[name] = [self.size, array.dtype.str, list(array.shape)]
+        self._fh.write(array.data)
+        self.size += array.nbytes
 
 
 def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
@@ -107,39 +143,31 @@ def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
         raw = base.raw_dataset
         norm = base.dataset
         normalized_stored = norm is not raw
-        for i, series in enumerate(raw):
-            _write_array(tmp, f"raw_{i}", series.values)
-        if normalized_stored:
-            for i, series in enumerate(norm):
-                _write_array(tmp, f"norm_{i}", series.values)
         rep_radius: dict[str, int] = {}
-        for length in base.lengths:
-            bucket = base.bucket(length)
-            prefix = f"len{length}"
-            _write_array(tmp, f"{prefix}_centroids", bucket.centroids)
-            _write_array(tmp, f"{prefix}_ed_radii", bucket.ed_radii)
-            _write_array(tmp, f"{prefix}_cheb_radii", bucket.cheb_radii)
-            members = np.array(
-                [
-                    (m.series_index, m.start)
-                    for g in bucket.groups
-                    for m in g.members
-                ],
-                dtype=np.int64,
-            ).reshape(-1, 2)
-            _write_array(tmp, f"{prefix}_members", members)
-            _write_array(tmp, f"{prefix}_offsets", bucket.member_offsets)
-            _write_array(
-                tmp,
-                f"{prefix}_member_matrix",
-                bucket.stacked_member_matrix(norm),
-            )
-            summary = bucket.rep_summary
-            _write_array(tmp, f"{prefix}_rep_env_lo", summary.env_lo)
-            _write_array(tmp, f"{prefix}_rep_env_hi", summary.env_hi)
-            _write_array(tmp, f"{prefix}_rep_endpoints", summary.endpoints)
-            _write_array(tmp, f"{prefix}_rep_minmax", summary.minmax)
-            rep_radius[str(length)] = summary.radius
+        with open(tmp / DATA_FILE, "wb") as fh:
+            out = _SegmentWriter(fh)
+            for i, series in enumerate(raw):
+                out.add(f"raw_{i}", series.values)
+            if normalized_stored:
+                for i, series in enumerate(norm):
+                    out.add(f"norm_{i}", series.values)
+            for length in base.lengths:
+                bucket = base.bucket(length)
+                prefix = f"len{length}"
+                out.add(f"{prefix}_centroids", bucket.centroids)
+                out.add(f"{prefix}_ed_radii", bucket.ed_radii)
+                out.add(f"{prefix}_cheb_radii", bucket.cheb_radii)
+                out.add(f"{prefix}_members", bucket.member_handles)
+                out.add(f"{prefix}_offsets", bucket.member_offsets)
+                out.add(
+                    f"{prefix}_member_matrix", bucket.stacked_member_matrix(norm)
+                )
+                summary = bucket.rep_summary
+                out.add(f"{prefix}_rep_env_lo", summary.env_lo)
+                out.add(f"{prefix}_rep_env_hi", summary.env_hi)
+                out.add(f"{prefix}_rep_endpoints", summary.endpoints)
+                out.add(f"{prefix}_rep_minmax", summary.minmax)
+                rep_radius[str(length)] = summary.radius
         stats = base.stats
         meta = {
             "format": SNAPSHOT_FORMAT,
@@ -173,6 +201,8 @@ def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
             "lengths": list(base.lengths),
             "rep_radius": rep_radius,
             "structure_fingerprint": base.structure_fingerprint(),
+            "data_bytes": out.size,
+            "segments": out.index,
         }
         with open(tmp / "meta.json", "w") as fh:
             json.dump(meta, fh, sort_keys=True)
@@ -186,15 +216,42 @@ def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
     return final
 
 
-def _load_array(
-    directory: Path, name: str, mmap_mode: str | None
-) -> np.ndarray:
-    path = directory / f"{name}.npy"
+def _open_segments(
+    directory: Path, meta: dict, mmap_mode: str | None
+) -> dict[str, np.ndarray]:
+    """Map ``arrays.bin`` once; every segment is a slice of that map.
+
+    With *mmap_mode* ``None`` the file is read into one private writable
+    buffer instead (one read, not one per array).
+    """
+    path = directory / DATA_FILE
     try:
-        return np.load(path, mmap_mode=mmap_mode, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+        expected = int(meta["data_bytes"])
+        actual = path.stat().st_size
+        if actual != expected:
+            raise PersistenceError(
+                f"snapshot data {path} holds {actual} bytes, "
+                f"expected {expected} (truncated?)"
+            )
+        if mmap_mode is None:
+            buffer = np.fromfile(path, dtype=np.uint8)
+        else:
+            buffer = np.memmap(path, dtype=np.uint8, mode=mmap_mode)
+        segments = {}
+        for name, (offset, dtype, shape) in meta["segments"].items():
+            dtype = np.dtype(dtype)
+            count = int(np.prod(shape, dtype=np.int64))
+            stop = offset + count * dtype.itemsize
+            if offset % _ALIGN or stop > expected:
+                raise PersistenceError(
+                    f"snapshot segment {name!r} [{offset}, {stop}) "
+                    f"is outside {path}"
+                )
+            segments[name] = buffer[offset:stop].view(dtype).reshape(shape)
+        return segments
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         raise PersistenceError(
-            f"snapshot array {path} is missing or unreadable: {exc}"
+            f"snapshot data {path} is missing or unreadable: {exc}"
         ) from exc
 
 
@@ -206,12 +263,13 @@ def load_base_snapshot(
 ) -> tuple[OnexBase, dict]:
     """Open a snapshot directory; returns ``(base, meta)``.
 
-    With the default ``mmap_mode="r"`` every array is a write-protected
-    memory map and the base is **read-only** (mutations raise); pass
-    ``mmap_mode=None`` to materialise private writable copies instead.
-    *verify* recomputes the structure fingerprint against the stored one
-    — it touches every page, so it is off by default (cold start stays
-    an mmap) and turned on by tests and offline integrity checks.
+    With the default ``mmap_mode="r"`` every array is a slice of one
+    write-protected memory map and the base is **read-only** (mutations
+    raise); pass ``mmap_mode=None`` to materialise a private writable
+    copy instead.  *verify* recomputes the structure fingerprint against
+    the stored one — it touches every centroid, radius and handle page,
+    so it is off by default (cold start stays an mmap) and turned on by
+    tests and offline integrity checks.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -227,12 +285,11 @@ def load_base_snapshot(
             f"snapshot {directory} has format {meta.get('format')!r}, "
             f"expected {SNAPSHOT_FORMAT}"
         )
+    seg = _open_segments(directory, meta, mmap_mode)
     ds_meta = meta["dataset"]
     raw_series = [
         TimeSeries._wrap(
-            entry["name"],
-            _load_array(directory, f"raw_{i}", mmap_mode),
-            entry.get("metadata") or {},
+            entry["name"], seg[f"raw_{i}"], entry.get("metadata") or {}
         )
         for i, entry in enumerate(ds_meta["series"])
     ]
@@ -240,9 +297,7 @@ def load_base_snapshot(
     if meta["normalized_stored"]:
         norm_series = [
             TimeSeries._wrap(
-                entry["name"],
-                _load_array(directory, f"norm_{i}", mmap_mode),
-                entry.get("metadata") or {},
+                entry["name"], seg[f"norm_{i}"], entry.get("metadata") or {}
             )
             for i, entry in enumerate(ds_meta["series"])
         ]
@@ -254,47 +309,38 @@ def load_base_snapshot(
     for length in meta["lengths"]:
         length = int(length)
         prefix = f"len{length}"
-        centroids = _load_array(directory, f"{prefix}_centroids", mmap_mode)
-        ed_radii = _load_array(directory, f"{prefix}_ed_radii", mmap_mode)
-        cheb_radii = _load_array(directory, f"{prefix}_cheb_radii", mmap_mode)
-        # Handles and offsets are small and drive python-level group
-        # reconstruction anyway — materialise them outright.
-        members = np.asarray(_load_array(directory, f"{prefix}_members", None))
-        offsets = np.asarray(
-            _load_array(directory, f"{prefix}_offsets", None)
-        ).tolist()
-        groups = []
-        for g in range(len(offsets) - 1):
-            chunk = members[offsets[g] : offsets[g + 1]]
-            refs = tuple(
-                SubsequenceRef(int(si), int(st), length) for si, st in chunk
-            )
-            groups.append(
-                SimilarityGroup(
-                    length=length,
-                    centroid=centroids[g],
-                    members=refs,
-                    ed_radius=float(ed_radii[g]),
-                    cheb_radius=float(cheb_radii[g]),
-                )
-            )
+        centroids = seg[f"{prefix}_centroids"]
+        ed_radii = seg[f"{prefix}_ed_radii"]
+        cheb_radii = seg[f"{prefix}_cheb_radii"]
+        handles = seg[f"{prefix}_members"]
+        # Groups slice plain-ndarray views of the map: slicing a memmap
+        # subclass costs several times more per group.
+        groups = _handle_groups(
+            length,
+            centroids.view(np.ndarray),
+            ed_radii,
+            cheb_radii,
+            handles.view(np.ndarray),
+            seg[f"{prefix}_offsets"],
+        )
         bucket = LengthBucket.attached(
             length,
             groups,
-            _load_array(directory, f"{prefix}_member_matrix", mmap_mode),
+            seg[f"{prefix}_member_matrix"],
             centroids,
             ed_radii,
             cheb_radii,
+            handles,
             channels=channels,
         )
         bucket.attach_rep_summary(
             RepresentativeSummary.attached(
                 length,
                 int(meta["rep_radius"][str(length)]),
-                _load_array(directory, f"{prefix}_rep_env_lo", mmap_mode),
-                _load_array(directory, f"{prefix}_rep_env_hi", mmap_mode),
-                _load_array(directory, f"{prefix}_rep_endpoints", mmap_mode),
-                _load_array(directory, f"{prefix}_rep_minmax", mmap_mode),
+                seg[f"{prefix}_rep_env_lo"],
+                seg[f"{prefix}_rep_env_hi"],
+                seg[f"{prefix}_rep_endpoints"],
+                seg[f"{prefix}_rep_minmax"],
             )
         )
         buckets[length] = bucket

@@ -196,9 +196,17 @@ def _worker_main(
     heartbeat_fd: int,
     service_config: dict,
     snapshot_table: list[tuple[str, str, str | None]],
+    supervisor_pid: int,
 ) -> None:
-    """Entry point of one forked worker (never returns normally)."""
-    from repro.core.config import QueryConfig
+    """Entry point of one forked worker (never returns normally).
+
+    The heartbeat thread also watches the parent: a worker whose
+    supervisor died (even by ``kill -9``, which runs no cleanup) is
+    re-parented, sees ``os.getppid()`` change from *supervisor_pid*, and
+    exits within one heartbeat interval instead of lingering as an
+    orphan.  EOF on the pipes cannot signal this reliably — sibling
+    workers forked later inherit the supervisor's ends of them.
+    """
     from repro.server.service import OnexService
 
     clock = _WorkerClock()
@@ -207,6 +215,8 @@ def _worker_main(
 
     def beat() -> None:
         while True:
+            if os.getppid() != supervisor_pid:
+                os._exit(0)  # supervisor is gone; never outlive it
             if stall_limit is None or clock.stalled_for() < float(stall_limit):
                 try:
                     os.write(heartbeat_fd, b"\x01")
@@ -218,7 +228,7 @@ def _worker_main(
 
     try:
         service = OnexService(
-            QueryConfig(**(service_config.get("query_config") or {})),
+            service_config.get("query_config"),
             default_timeout_ms=service_config.get("default_timeout_ms"),
         )
         for name, path, fingerprint in snapshot_table:
@@ -321,7 +331,8 @@ class WorkerPool:
     """N supervised pre-fork workers serving read-only dispatches.
 
     See the module docstring for the fault model.  *service_config*
-    carries ``query_config`` kwargs and ``default_timeout_ms`` into each
+    carries the ``query_config`` (a :class:`~repro.core.config.QueryConfig`,
+    handed over as-is by the fork) and ``default_timeout_ms`` into each
     worker's :class:`~repro.server.service.OnexService`; snapshots are
     announced with :meth:`remap` (re-announced automatically to every
     restarted worker).  *on_capacity_change* is invoked as
@@ -477,9 +488,10 @@ class WorkerPool:
         """Announce (or re-announce) *dataset*'s snapshot to every worker.
 
         The table entry is recorded first, so workers restarted mid-
-        broadcast pick it up at spawn; the broadcast then walks every
-        live worker, taking each slot exclusively (a slot mid-query is
-        remapped right after its in-flight dispatch completes).
+        broadcast pick it up at spawn; the broadcast then sends the frame
+        to every live worker, taking each slot exclusively (a slot
+        mid-query is remapped right after its in-flight dispatch
+        completes), so the workers attach concurrently.
         """
         with self._cond:
             self._snapshot_table[dataset] = (str(path), fingerprint)
@@ -498,6 +510,14 @@ class WorkerPool:
         self._broadcast({"ctl": "unload", "dataset": dataset})
 
     def _broadcast(self, frame: dict) -> None:
+        """Send a control *frame* to every live worker, then collect replies.
+
+        Every frame goes out before any reply is read, so the workers
+        act on it in parallel: a broadcast costs the slowest worker's
+        time, not the sum.  Each slot stays exclusively held from its
+        send to its reply.
+        """
+        sent: list[tuple[_Slot, socket.socket, Any]] = []
         for slot in self._slots:
             with self._cond:
                 deadline = time.monotonic() + self.dispatch_wait_s
@@ -511,9 +531,15 @@ class WorkerPool:
                     continue
                 slot.busy = True
                 conn, proc = slot.conn, slot.proc
-            ok = False
             try:
                 _send_frame(conn, frame)
+            except (OSError, ConnectionError, ValueError):
+                self._release(slot, proc, frame, ok=False)
+                continue
+            sent.append((slot, conn, proc))
+        for slot, conn, proc in sent:
+            ok = False
+            try:
                 reply = _recv_frame(conn)
                 ok = reply is not None
                 if reply is not None and not reply.get("ok", False):
@@ -528,11 +554,15 @@ class WorkerPool:
             except (OSError, ConnectionError, ValueError):
                 ok = False
             finally:
-                with self._cond:
-                    slot.busy = False
-                    if not ok:
-                        self._note_death(slot, proc, kind="exit", op=frame.get("ctl"))
-                    self._cond.notify_all()
+                self._release(slot, proc, frame, ok=ok)
+
+    def _release(self, slot: _Slot, proc: Any, frame: dict, *, ok: bool) -> None:
+        """End a broadcast's hold on *slot*; a failed exchange kills it."""
+        with self._cond:
+            slot.busy = False
+            if not ok:
+                self._note_death(slot, proc, kind="exit", op=frame.get("ctl"))
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -655,6 +685,7 @@ class WorkerPool:
                 hb_write,
                 dict(self._service_config),
                 table,
+                os.getpid(),
             ),
             daemon=True,
             name=f"onex-worker-{slot.index}",

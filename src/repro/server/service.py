@@ -110,6 +110,11 @@ class OnexService:
         self.last_recovery = None
 
     @property
+    def default_timeout_ms(self) -> float | None:
+        """Server-side deadline for operations that carry no ``timeout_ms``."""
+        return self._default_timeout_ms
+
+    @property
     def engine(self) -> OnexEngine:
         return self._engine
 

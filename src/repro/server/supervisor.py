@@ -27,6 +27,17 @@ the per-dataset publish mutex only collapses concurrent readers onto a
 single publication.  Superseded epochs are deleted immediately — a
 worker still mapping one keeps the inode alive until it remaps.
 
+What a publication costs (snapshot format 2, see
+:mod:`~repro.core.mmap_layout`): the base's arrays streamed into one
+file, plus one ``np.memmap`` and per-group (never per-member) setup in
+each worker, all workers attaching in parallel
+(:meth:`~repro.server.pool.WorkerPool.remap`).  On the ElectricityLoad-sim
+8x365 base (24,336 windows, 1,018 groups; 2 workers, 2 vCPUs) that is
+~21 ms, down from ~320 ms for the earlier one-``.npy``-per-array format,
+which built every member handle in Python on both sides and attached
+the workers one after another: ~50-80 ms to save plus two serial
+~100-120 ms attaches.
+
 Failure surface: :class:`~repro.exceptions.OverloadedError` (no live
 workers / all busy) and :class:`~repro.exceptions.WorkerCrashedError`
 (a worker died holding a non-read-only dispatch) propagate out of
@@ -83,7 +94,10 @@ class _Publication:
 class Supervisor:
     """The pre-fork process manager; a drop-in ``OnexService`` facade.
 
-    *service* stays the single authority for mutations and durability.
+    *service* stays the single authority for mutations and durability,
+    and the single source of configuration: every worker runs its
+    engine's :class:`~repro.core.config.QueryConfig` and its default
+    timeout, so pooled answers equal the service's for every config.
     *snapshot_root* holds the published mmap snapshots
     (``<root>/<slug>/epoch-<n>``); stale debris from a previous crashed
     run is swept on :meth:`start`.  *pool_options* passes tuning knobs
@@ -97,8 +111,6 @@ class Supervisor:
         *,
         workers: int,
         snapshot_root: str | Path,
-        query_config_kwargs: dict | None = None,
-        default_timeout_ms: float | None = None,
         pool_options: dict | None = None,
     ) -> None:
         self._service = service
@@ -108,14 +120,12 @@ class Supervisor:
         self._gate: Any = None
         self._gate_cap = 0
         self._started = False
-        service_config: dict = {
-            "query_config": dict(query_config_kwargs or {}),
-        }
-        if default_timeout_ms is not None:
-            service_config["default_timeout_ms"] = default_timeout_ms
         self.pool = WorkerPool(
             workers,
-            service_config=service_config,
+            service_config={
+                "query_config": service.engine.query_config,
+                "default_timeout_ms": service.default_timeout_ms,
+            },
             on_capacity_change=self._on_capacity_change,
             **(pool_options or {}),
         )

@@ -15,12 +15,13 @@ import pytest
 from repro.core.config import QueryConfig
 from repro.core.engine import OnexEngine
 from repro.core.mmap_layout import (
+    DATA_FILE,
     clean_stale_snapshots,
     load_base_snapshot,
     save_base_snapshot,
 )
 from repro.core.query import QueryProcessor
-from repro.data.dataset import TimeSeriesDataset
+from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.exceptions import PersistenceError, ReadOnlyBaseError
 
@@ -79,6 +80,26 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0  # write-protected: raises, never corrupts
 
+    def test_lazy_members_equal_eager_tuples(self, built_base, snapshot):
+        base, meta = load_base_snapshot(snapshot)
+        assert base.structure_fingerprint() == built_base.structure_fingerprint()
+        assert meta["structure_fingerprint"] == built_base.structure_fingerprint()
+        for length in built_base.lengths:
+            original = built_base.bucket(length)
+            attached = base.bucket(length)
+            handles = original.member_handles.tolist()
+            offsets = original.member_offsets.tolist()
+            assert len(attached.groups) == len(original.groups)
+            for g, (source, lazy) in enumerate(zip(original.groups, attached.groups)):
+                eager = tuple(
+                    SubsequenceRef(si, st, length)
+                    for si, st in handles[offsets[g] : offsets[g + 1]]
+                )
+                assert lazy._members is None  # nothing built before a read
+                assert lazy.cardinality == len(eager)
+                assert lazy.members == eager == source.members
+                assert lazy == source
+
     def test_stats_and_meta_survive(self, built_base, snapshot):
         base, meta = load_base_snapshot(snapshot)
         assert base.stats.subsequences == built_base.stats.subsequences
@@ -114,11 +135,13 @@ class TestDurabilityOfWrites:
     def test_verify_detects_tampering(self, built_base, tmp_path):
         path = save_base_snapshot(built_base, tmp_path / "epoch-1")
         length = built_base.lengths[0]
-        victim = path / f"len{length}_centroids.npy"
-        data = np.load(victim)
-        data = np.ascontiguousarray(data)
-        data[0, 0] += 1.0
-        np.save(victim, data)
+        meta = json.loads((path / "meta.json").read_text())
+        offset, _, _ = meta["segments"][f"len{length}_centroids"]
+        with open(path / DATA_FILE, "r+b") as fh:
+            fh.seek(offset + 3)  # a byte inside centroid [0, 0]
+            byte = fh.read(1)
+            fh.seek(offset + 3)
+            fh.write(bytes([byte[0] ^ 0xFF]))
         with pytest.raises(PersistenceError):
             load_base_snapshot(path, verify=True)
         # Without verify the mmap open stays cheap and trusting.
@@ -131,6 +154,18 @@ class TestDurabilityOfWrites:
         meta["format"] = 999
         (path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(PersistenceError):
+            load_base_snapshot(path)
+
+    def test_v1_snapshot_rejected(self, built_base, tmp_path):
+        """A per-array ``.npy`` (format 1) directory fails the format check."""
+        path = tmp_path / "epoch-1"
+        path.mkdir()
+        length = built_base.lengths[0]
+        np.save(path / f"len{length}_centroids.npy", built_base.bucket(length).centroids)
+        (path / "meta.json").write_text(
+            json.dumps({"format": 1, "lengths": [length]})
+        )
+        with pytest.raises(PersistenceError, match="format 1"):
             load_base_snapshot(path)
 
 

@@ -6,6 +6,7 @@ policy (backoff + flap circuit breaker), degraded-capacity behaviour
 lazy snapshot republication (read-your-writes after mutations).
 """
 
+import json
 import os
 import signal
 import socket
@@ -311,6 +312,101 @@ class TestReadYourWrites:
         )
         assert response.ok
         assert "pool-toy" not in supervisor.pool_status()["published"]
+
+
+class TestPublicationIdentity:
+    """Pooled answers equal the service's own, config and appends included."""
+
+    @staticmethod
+    def _start(service, tmp_path):
+        sup = Supervisor(
+            service, workers=2, snapshot_root=tmp_path / "snaps"
+        )
+        return sup.start(timeout=60)
+
+    @staticmethod
+    def _same(sup, op, params, request_id):
+        request = Request(op, params, request_id=request_id)
+        pooled = sup.handle(request)
+        local = sup._service.handle(request)
+        assert pooled.ok and local.ok, (pooled, local)
+        # Compare the serialised bytes; a boolean keeps pytest from
+        # diffing two long JSON strings on failure.
+        identical = json.dumps(pooled.result, sort_keys=True) == json.dumps(
+            local.result, sort_keys=True
+        )
+        assert identical, f"pooled {op} differs from the service's answer"
+        return pooled.result
+
+    def test_exact_mode_service_answers_exactly(self, tmp_path):
+        service = make_service(name="exact-toy")
+        exact = OnexService(QueryConfig(mode="exact"))
+        base = service.engine.base("exact-toy")
+        exact.engine.restore_dataset(base.raw_dataset, base)
+        fast_answers, exact_answers = [], []
+        sup = self._start(exact, tmp_path)
+        try:
+            assert sup.engine.query_config.mode == "exact"
+            for seed in range(6):
+                params = {"dataset": "exact-toy", "query": query_values(seed), "k": 3}
+                exact_answers.append(
+                    self._same(sup, "k_best", params, f"exact-{seed}")
+                )
+                fast_answers.append(
+                    service.handle(Request("k_best", params)).result
+                )
+        finally:
+            sup.close()
+        # The pooled answers are the exact ones, which fast mode would
+        # not have produced for every query.
+        assert exact_answers != fast_answers
+
+    def test_answers_identical_after_interleaved_appends(self, tmp_path):
+        service = make_service(name="append-toy")
+        sup = self._start(service, tmp_path)
+        try:
+            rng = np.random.default_rng(21)
+            for step in range(6):
+                response = sup.handle(
+                    Request(
+                        "append_points",
+                        {
+                            "dataset": "append-toy",
+                            "series": f"s{step % 2}",
+                            "values": rng.normal(size=7).cumsum().tolist(),
+                        },
+                        request_id=f"append-{step}",
+                    )
+                )
+                assert response.ok, response
+            base = service.engine.base("append-toy")
+            # The appends left some group's member rows non-contiguous,
+            # so publication must gather rows back into group order.
+            assert any(b._group_order() is not None for b in base.buckets())
+            for seed in range(3):
+                query = query_values(seed)
+                self._same(
+                    sup,
+                    "k_best",
+                    {"dataset": "append-toy", "query": query, "k": 3},
+                    f"kb-{seed}",
+                )
+                self._same(
+                    sup,
+                    "matches_within",
+                    {"dataset": "append-toy", "query": query, "threshold": 0.2},
+                    f"mw-{seed}",
+                )
+            self._same(
+                sup,
+                "seasonal",
+                {"dataset": "append-toy", "series": "s0", "length": 10},
+                "seasonal",
+            )
+            epoch = sup.pool_status()["published"]["append-toy"]["epoch"]
+            assert epoch >= 2  # the reads above went to a republished base
+        finally:
+            sup.close()
 
 
 class TestDegradedCapacity:
